@@ -87,6 +87,40 @@ void BM_KernelSquaredL2(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSquaredL2)->ArgsProduct({{32, 48, 64, 128}, {0, 1}});
 
+// Elementwise transcendentals at the encoder's shapes: one attention
+// softmax row (48, 64 scores) and one layer's whole GELU block
+// (12288 = 64 tokens x d_ff 192). Inputs ~N(0, 3) cross both tanh branches.
+void RunElementwise(benchmark::State& state,
+                    void (*fn)(int, const float*, float*)) {
+  const int n = static_cast<int>(state.range(0));
+  if (!PinTier(state, state.range(1))) return;
+  auto x = BenchVector(n, 5);
+  for (float& v : x) v *= 3.0f;
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    fn(n, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  kern::ClearForcedTierForTest();
+}
+
+void BM_KernelExp(benchmark::State& state) {
+  RunElementwise(state, &kern::Exp);
+}
+BENCHMARK(BM_KernelExp)->ArgsProduct({{48, 64, 12288}, {0, 1}});
+
+void BM_KernelTanh(benchmark::State& state) {
+  RunElementwise(state, &kern::Tanh);
+}
+BENCHMARK(BM_KernelTanh)->ArgsProduct({{48, 64, 12288}, {0, 1}});
+
+void BM_KernelGelu(benchmark::State& state) {
+  RunElementwise(state, &kern::Gelu);
+}
+BENCHMARK(BM_KernelGelu)->ArgsProduct({{48, 64, 12288}, {0, 1}});
+
 // The repo's GEMM shapes: transformer forward/backward at the two model
 // sizes (d_model 48/64, d_ff 192/256) over max_seq_len = 64 rows.
 void SgemmShapes(benchmark::internal::Benchmark* b) {

@@ -453,14 +453,25 @@ Status HnswIndex::InsertWithLevelLocked(const float* vec, i32 level,
   for (int lev = max_level; lev > level; --lev) {
     ep = GreedyClosest(q, ep, lev, scratch.get());
   }
-  // Connect on each level the node participates in.
+  // Choose the neighbours on each level the node participates in, top
+  // down. Each level's search reads only that level's links, so selecting
+  // every level before wiring any yields the same graph as interleaving.
+  const int top = std::min(static_cast<int>(level), max_level);
+  std::vector<std::vector<u32>> chosen(static_cast<size_t>(top) + 1);
   std::vector<Neighbor> candidates;
-  for (int lev = std::min(static_cast<int>(level), max_level); lev >= 0;
-       --lev) {
+  for (int lev = top; lev >= 0; --lev) {
     SearchLayer(q, ep, config_.ef_construction, lev, &candidates,
                 scratch.get(), /*filter_deleted=*/false);
+    chosen[static_cast<size_t>(lev)] =
+        SelectNeighbors(q, candidates, config_.M);
+    if (!candidates.empty()) ep = candidates.front().id;
+  }
+  // Wire bottom up: by the time an upper-level link lets a concurrent
+  // reader descend onto the new node, its layer-0 adjacency is in place,
+  // so the reader's beam search never starts from an empty list.
+  for (int lev = 0; lev <= top; ++lev) {
     const int max_degree = lev == 0 ? 2 * config_.M : config_.M;
-    auto neighbors = SelectNeighbors(q, candidates, config_.M);
+    const std::vector<u32>& neighbors = chosen[static_cast<size_t>(lev)];
     {
       MutexLock link_lock(sync_->stripes[StripeOf(id)].link_mu);
       NodeAt(id).links[static_cast<size_t>(lev)].assign(neighbors.begin(),
@@ -483,7 +494,6 @@ Status HnswIndex::InsertWithLevelLocked(const float* vec, i32 level,
         back = SelectNeighbors(nb_vec, cand, max_degree);
       }
     }
-    if (!candidates.empty()) ep = candidates.front().id;
   }
   if (level > max_level) {
     entry_point_.store(PackEntry(level, id), std::memory_order_release);

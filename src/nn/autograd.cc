@@ -230,17 +230,21 @@ VarPtr LayerNormRows(const VarPtr& x, const VarPtr& gamma, const VarPtr& beta,
 
 VarPtr Gelu(const VarPtr& x) {
   Matrix out(x->rows(), x->cols());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out.data()[i] = GeluValue(x->value().data()[i]);
-  }
-  return MakeOp(std::move(out), {x}, [x](Var& self) {
+  const int n = static_cast<int>(out.size());
+  GeluRow(x->value().data(), out.data(), n);
+  return MakeOp(std::move(out), {x}, [x, n](Var& self) {
     if (!x->requires_grad()) return;
-    for (size_t i = 0; i < self.value().size(); ++i) {
-      const float v = x->value().data()[i];
-      const float inner = kGeluC * (v + 0.044715f * v * v * v);
-      const float t = std::tanh(inner);
-      const float dinner = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-      const float dv = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dinner;
+    const float* xv = x->value().data();
+    // The forward's tanh, bit for bit (util/kernels.h GeluTanhArg).
+    std::vector<float> t(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) t[i] = kern::GeluTanhArg(xv[i]);
+    kern::Tanh(n, t.data(), t.data());
+    for (int i = 0; i < n; ++i) {
+      const float v = xv[i];
+      const float dinner =
+          kern::kGeluC * (1.0f + 3.0f * kern::kGeluA * v * v);
+      const float dv =
+          0.5f * (1.0f + t[i]) + 0.5f * v * (1.0f - t[i] * t[i]) * dinner;
       x->grad().data()[i] += self.grad().data()[i] * dv;
     }
   });
@@ -453,17 +457,8 @@ VarPtr SoftmaxCrossEntropyIndex(const VarPtr& scores,
   double loss = 0.0;
   for (int i = 0; i < n; ++i) {
     DJ_CHECK(static_cast<int>(targets[i]) < m);
-    const float* s = scores->value().row(i);
     float* p = probs->row(i);
-    float maxv = -1e30f;
-    for (int j = 0; j < m; ++j) maxv = std::max(maxv, s[j]);
-    double sum = 0.0;
-    for (int j = 0; j < m; ++j) {
-      p[j] = std::exp(s[j] - maxv);
-      sum += p[j];
-    }
-    const float inv = static_cast<float>(1.0 / sum);
-    for (int j = 0; j < m; ++j) p[j] *= inv;
+    SoftmaxRow(scores->value().row(i), nullptr, p, m);
     loss += -std::log(std::max(1e-12, static_cast<double>(p[targets[i]])));
   }
   Matrix out(1, 1);

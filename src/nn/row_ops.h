@@ -2,26 +2,31 @@
 // autograd ops (nn/autograd.cc) and the allocation-free inference path
 // (TransformerEncoder workspace forward in nn/transformer.cc) call these
 // same inline functions, which is what makes the fast path bit-identical
-// to the graph path: one definition, one operation order.
+// to the graph path: one definition, one operation order. Their
+// transcendentals (softmax exp, GELU tanh) run through the vectorized
+// util/kernels.h Exp / Gelu, so the two paths also share one dispatch
+// tier per call; across tiers they differ only in low-order bits.
 #ifndef DEEPJOIN_NN_ROW_OPS_H_
 #define DEEPJOIN_NN_ROW_OPS_H_
 
 #include <cmath>
 
+#include "util/kernels.h"
+
 namespace deepjoin {
 namespace nn {
 
-inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-/// Tanh-approximation GELU (BERT's variant).
-inline float GeluValue(float v) {
-  const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-  return 0.5f * v * (1.0f + t);
+/// Tanh-approximation GELU (BERT's variant) over n values, through the
+/// vectorized kern::Gelu. In-place (x == out) is allowed. The backward
+/// recomputes the same tanh as kern::Tanh(kern::GeluTanhArg(x)).
+inline void GeluRow(const float* x, float* out, int n) {
+  kern::Gelu(n, x, out);
 }
 
 /// Numerically-stable softmax over one row of n scores; `mask`, if
-/// non-null, is added to x first. In-place (x == out) is allowed: every
-/// element is read before it is written.
+/// non-null, is added to x first. The shifted scores go through one
+/// vectorized kern::Exp; the normaliser is summed in double. In-place
+/// (x == out) is allowed: every element is read before it is written.
 inline void SoftmaxRow(const float* x, const float* mask, float* out,
                        int n) {
   float maxv = -1e30f;
@@ -30,11 +35,10 @@ inline void SoftmaxRow(const float* x, const float* mask, float* out,
     out[j] = v;
     if (v > maxv) maxv = v;
   }
+  for (int j = 0; j < n; ++j) out[j] -= maxv;
+  kern::Exp(n, out, out);
   double sum = 0.0;
-  for (int j = 0; j < n; ++j) {
-    out[j] = std::exp(out[j] - maxv);
-    sum += out[j];
-  }
+  for (int j = 0; j < n; ++j) sum += out[j];
   const float inv = static_cast<float>(1.0 / sum);
   for (int j = 0; j < n; ++j) out[j] *= inv;
 }

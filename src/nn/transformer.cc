@@ -323,7 +323,7 @@ void TransformerEncoder::ForwardNoGrad(const u32* ids, int L, Workspace& ws,
     for (int i = 0; i < L; ++i) {
       float* hrow = ws.h1.row(i);
       kern::Axpy(d_ff, 1.0f, layer.ff1_b->value().row(0), hrow);
-      for (int j = 0; j < d_ff; ++j) hrow[j] = GeluValue(hrow[j]);
+      GeluRow(hrow, hrow, d_ff);
     }
     ZeroRows(ws.tmp, L);
     kern::SgemmNN(L, d, d_ff, ws.h1.data(), d_ff,

@@ -79,10 +79,13 @@ class TransformerEncoder {
   /// embedding to `out`. Runs through a pooled per-encoder Workspace
   /// (scratch matrices sized once for max_seq_len) instead of building an
   /// autograd graph, so the hot search/index loops do no per-op heap
-  /// allocation. Bit-identical to Encode() under NoGradGuard: both paths
-  /// run the same kernels and the same per-row helpers (nn/row_ops.h) in
-  /// the same order. Safe for concurrent calls (the workspace pool hands
-  /// each call its own scratch — same scheme as HNSW's VisitedPool).
+  /// allocation. Bit-identical to Encode() under NoGradGuard in each
+  /// kernel tier: both paths run the same kernels and the same per-row
+  /// helpers (nn/row_ops.h, whose softmax and GELU go through the
+  /// vectorized kern::Exp / kern::Gelu) in the same order. Across tiers
+  /// the output differs in low-order bits only. Safe for concurrent calls
+  /// (the workspace pool hands each call its own scratch — same scheme as
+  /// HNSW's VisitedPool).
   /// DJ_NOALLOC steady state: after the workspace pool has warmed up.
   DJ_NOALLOC void EncodeToVector(const std::vector<u32>& ids, float* out);
 

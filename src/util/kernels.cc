@@ -1,8 +1,10 @@
 #include "util/kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 // The one translation unit allowed to touch SIMD intrinsics (dj_lint rule
@@ -80,6 +82,78 @@ void ScaleAddScalar(int n, float alpha, const float* x, float beta,
   } else {
     for (int i = 0; i < n; ++i) y[i] = alpha * x[i] + beta * y[i];
   }
+}
+
+// Elementwise transcendentals (util/kernels.h): constants shared by both
+// tiers, so the tiers differ only in fused vs unfused evaluation.
+constexpr float kExpLo = -110.0f;  // e^-110 rounds to 0 (below denormals)
+constexpr float kExpHi = 89.0f;    // e^89 overflows to +inf
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kLn2Hi = 0.693359375f;     // Cody-Waite split of ln 2:
+constexpr float kLn2Lo = -2.12194440e-4f;  // kLn2Hi has 9 significant bits
+// Cephes expf: e^r ~= 1 + r + r^2 * P(r) on |r| <= ln(2)/2.
+constexpr float kExpP0 = 1.9875691500e-4f;
+constexpr float kExpP1 = 1.3981999507e-3f;
+constexpr float kExpP2 = 8.3334519073e-3f;
+constexpr float kExpP3 = 4.1665795894e-2f;
+constexpr float kExpP4 = 1.6666665459e-1f;
+constexpr float kExpP5 = 5.0000001201e-1f;
+// Cephes tanhf: tanh(a) ~= a + a^3 * P(a^2) on a < kTanhSmall.
+constexpr float kTanhSmall = 0.625f;
+constexpr float kTanhP0 = -5.70498872745e-3f;
+constexpr float kTanhP1 = 2.06390887954e-2f;
+constexpr float kTanhP2 = -5.37397155531e-2f;
+constexpr float kTanhP3 = 1.33314422036e-1f;
+constexpr float kTanhP4 = -3.33332819422e-1f;
+
+/// 2^e for e in [-126, 127], built from its exponent bits.
+float Pow2Scalar(int e) { return std::bit_cast<float>((e + 127) << 23); }
+
+float ExpLaneScalar(float x) {
+  if (std::isnan(x)) return x;
+  const float xc = x < kExpLo ? kExpLo : (x > kExpHi ? kExpHi : x);
+  const float fn = std::floor(xc * kLog2e + 0.5f);
+  float r = xc - fn * kLn2Hi;
+  r = r - fn * kLn2Lo;
+  float p = kExpP0 * r + kExpP1;
+  p = p * r + kExpP2;
+  p = p * r + kExpP3;
+  p = p * r + kExpP4;
+  p = p * r + kExpP5;
+  p = p * (r * r) + r;
+  p = p + 1.0f;
+  // fn is an integer in [-159, 128]; each half-scale is a normal power of
+  // two, and only the last multiply rounds (gradual underflow / overflow).
+  const int n = static_cast<int>(fn);
+  const int n1 = n >> 1;
+  return (p * Pow2Scalar(n1)) * Pow2Scalar(n - n1);
+}
+
+float TanhLaneScalar(float x) {
+  if (std::isnan(x)) return x;
+  const float a = std::fabs(x);
+  float t = 0.0f;
+  if (a < kTanhSmall) {
+    const float z = a * a;
+    float p = kTanhP0 * z + kTanhP1;
+    p = p * z + kTanhP2;
+    p = p * z + kTanhP3;
+    p = p * z + kTanhP4;
+    t = (p * z) * a + a;
+  } else {
+    t = 1.0f - 2.0f / (ExpLaneScalar(a + a) + 1.0f);
+  }
+  return std::copysign(t, x);
+}
+
+float GeluLaneScalar(float x) {
+  const float t = TanhLaneScalar(GeluTanhArg(x));
+  return (0.5f * x) * (1.0f + t);
+}
+
+template <float (*Lane)(float)>
+void MapScalar(int n, const float* x, float* y) {
+  for (int i = 0; i < n; ++i) y[i] = Lane(x[i]);
 }
 
 // GEMM blocking constants, shared by both tiers so the per-element chain
@@ -285,6 +359,88 @@ void ScaleAddAvx2(int n, float alpha, const float* x, float beta, float* y) {
     _mm256_storeu_ps(y + i, _mm256_fmadd_ps(bv, _mm256_loadu_ps(y + i), t));
   }
   for (; i < n; ++i) y[i] = std::fma(beta, y[i], alpha * x[i]);
+}
+
+// Vector lanes of the elementwise transcendentals: the same constants and
+// step order as the *LaneScalar functions, with FMA where those multiply
+// and add. NaN inputs are blended back at the end, because the min/max
+// clamps would otherwise turn them into finite numbers.
+__attribute__((target("avx2,fma")))
+inline __m256 ExpLaneAvx2(__m256 x) {
+  const __m256 xc = _mm256_min_ps(_mm256_max_ps(x, _mm256_set1_ps(kExpLo)),
+                                  _mm256_set1_ps(kExpHi));
+  const __m256 fn = _mm256_floor_ps(_mm256_fmadd_ps(
+      xc, _mm256_set1_ps(kLog2e), _mm256_set1_ps(0.5f)));
+  __m256 r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kLn2Hi), xc);
+  r = _mm256_fnmadd_ps(fn, _mm256_set1_ps(kLn2Lo), r);
+  __m256 p = _mm256_fmadd_ps(_mm256_set1_ps(kExpP0), r,
+                             _mm256_set1_ps(kExpP1));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP2));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP3));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP4));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(kExpP5));
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i n = _mm256_cvtps_epi32(fn);  // exact: fn is integral
+  const __m256i n1 = _mm256_srai_epi32(n, 1);
+  const __m256i n2 = _mm256_sub_epi32(n, n1);
+  const __m256i bias = _mm256_set1_epi32(127);
+  const __m256 s1 = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(n1, bias), 23));
+  const __m256 s2 = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(n2, bias), 23));
+  const __m256 y = _mm256_mul_ps(_mm256_mul_ps(p, s1), s2);
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+__attribute__((target("avx2,fma")))
+inline __m256 TanhLaneAvx2(__m256 x) {
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 a = _mm256_andnot_ps(sign, x);
+  const __m256 z = _mm256_mul_ps(a, a);
+  __m256 p = _mm256_fmadd_ps(_mm256_set1_ps(kTanhP0), z,
+                             _mm256_set1_ps(kTanhP1));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP2));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP3));
+  p = _mm256_fmadd_ps(p, z, _mm256_set1_ps(kTanhP4));
+  const __m256 small = _mm256_fmadd_ps(_mm256_mul_ps(p, z), a, a);
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e = ExpLaneAvx2(_mm256_add_ps(a, a));
+  const __m256 large = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0f), _mm256_add_ps(e, one)));
+  const __m256 t = _mm256_blendv_ps(
+      large, small, _mm256_cmp_ps(a, _mm256_set1_ps(kTanhSmall), _CMP_LT_OQ));
+  const __m256 y = _mm256_or_ps(t, _mm256_and_ps(sign, x));
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+__attribute__((target("avx2,fma")))
+inline __m256 GeluLaneAvx2(__m256 x) {
+  // GeluTanhArg, operation for operation: kGeluC * (x + ((kGeluA*x)*x)*x).
+  __m256 u = _mm256_mul_ps(_mm256_set1_ps(kGeluA), x);
+  u = _mm256_mul_ps(_mm256_mul_ps(u, x), x);
+  u = _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(x, u));
+  const __m256 t = TanhLaneAvx2(u);
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                       _mm256_add_ps(_mm256_set1_ps(1.0f), t));
+}
+
+/// Applies an 8-lane function to n floats. The <8 tail goes through the
+/// same lane code on a zero-padded copy, so every element gets the same
+/// arithmetic wherever it sits.
+template <__m256 (*Lane)(__m256)>
+__attribute__((target("avx2,fma")))
+void MapAvx2(int n, const float* x, float* y) {
+  int i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, Lane(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    alignas(32) float buf[8] = {0};
+    std::memcpy(buf, x + i, sizeof(float) * static_cast<size_t>(n - i));
+    _mm256_store_ps(buf, Lane(_mm256_load_ps(buf)));
+    std::memcpy(y + i, buf, sizeof(float) * static_cast<size_t>(n - i));
+  }
 }
 
 // Mask table for partial 8-lane column groups: Mask8(v) has the first v
@@ -516,6 +672,36 @@ void ScaleAdd(int n, float alpha, const float* x, float beta, float* y) {
   }
 #endif
   ScaleAddScalar(n, alpha, x, beta, y);
+}
+
+void Exp(int n, const float* x, float* y) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    MapAvx2<ExpLaneAvx2>(n, x, y);
+    return;
+  }
+#endif
+  MapScalar<ExpLaneScalar>(n, x, y);
+}
+
+void Tanh(int n, const float* x, float* y) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    MapAvx2<TanhLaneAvx2>(n, x, y);
+    return;
+  }
+#endif
+  MapScalar<TanhLaneScalar>(n, x, y);
+}
+
+void Gelu(int n, const float* x, float* y) {
+#if DJ_KERNELS_X86
+  if (ActiveTier() == Tier::kAvx2) {
+    MapAvx2<GeluLaneAvx2>(n, x, y);
+    return;
+  }
+#endif
+  MapScalar<GeluLaneScalar>(n, x, y);
 }
 
 void SgemmNN(int m, int n, int k, const float* a, int lda, const float* b,

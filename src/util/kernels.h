@@ -51,6 +51,37 @@
 //    ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)); the <8 tail folds in
 //    sequentially with std::fma for both the decode and the accumulate.
 //
+// Elementwise transcendentals (Exp, Tanh, Gelu). One lane formula per tier,
+// applied to every element; the AVX2 tier runs its <8 tail through the same
+// vector lane code on a padded copy, so y[i] depends only on x[i] — never
+// on n, i, alignment, or x == y aliasing. Cephes-style: range reduction
+// plus a minimax polynomial, no table. AVX2 evaluates the polynomials and
+// reductions with FMA; scalar keeps every multiply-add as two roundings
+// (kernels.cc is compiled with -ffp-contract=off, so "unfused" is what the
+// scalar tier and the non-FMA lane steps really execute). The tiers
+// therefore differ in low-order bits only.
+//  * Exp: n = floor(x*log2(e) + 0.5); r = x - n*C1 - n*C2 (ln 2 split
+//    Cody-Waite); p = degree-5 polynomial in r (Cephes expf), e^r =
+//    p*r^2 + r + 1; y = (e^r * 2^(n>>1)) * 2^(n - (n>>1)), the split
+//    scale keeping gradual underflow to 0 and overflow to +inf exact.
+//    Measured error against double std::exp over [-87.3, 88.7] (results
+//    in the normal range): 0.97 ulp scalar, 1.00 ulp AVX2; tested bound
+//    3 ulp.
+//  * Tanh: a = |x|; a < 0.625: a + (P(a^2)*a^2)*a (Cephes tanhf); else
+//    1 - 2/(Exp(2a) + 1) with the Exp lane above; the sign of x is then
+//    copied onto the result, so Tanh(-x) == -Tanh(x) exactly. Measured
+//    error against double std::tanh over [-12, 12], both tiers: 7.9e-8
+//    absolute; tested bound 2.5e-7.
+//  * Gelu: y = (0.5*x) * (1 + Tanh(GeluTanhArg(x))), unfused, with
+//    GeluTanhArg (below) and the Tanh lane exactly as above — a caller
+//    that recomputes the tanh (the GELU backward) gets the forward's bits.
+//    Measured error against the double-precision formula over [-12, 12],
+//    both tiers: 1.1e-7 * max(1, |x|); tested bound 2.5e-7 * max(1, |x|).
+//  Special values, both tiers: NaN in -> NaN out (the input NaN, never a
+//  clamped finite number); Exp(-inf) = 0, Exp(x >= 88.8) = +inf (true
+//  overflow starts at 88.7228), Exp results below FLT_MIN underflow
+//  gradually to 0; Tanh(+-inf) = +-1, Tanh(+-0) = +-0; Gelu(+inf) = +inf.
+//
 // Alignment: kernels never REQUIRE alignment (all loads/stores are
 // unaligned ops); nn::Matrix guarantees 64-byte-aligned storage so the
 // common case runs on aligned addresses anyway.
@@ -108,6 +139,29 @@ DJ_NOALLOC void Axpy(int n, float alpha, const float* x, float* y);
 /// uninitialised), and x == y aliasing is allowed.
 DJ_NOALLOC void ScaleAdd(int n, float alpha, const float* x, float beta,
                          float* y);
+
+// Elementwise transcendentals over n floats (error bounds and special
+// values above). x == y is allowed; any other overlap is not.
+
+/// y[i] = e^x[i]
+DJ_NOALLOC void Exp(int n, const float* x, float* y);
+
+/// y[i] = tanh(x[i])
+DJ_NOALLOC void Tanh(int n, const float* x, float* y);
+
+/// y[i] = GELU(x[i]), the tanh approximation (BERT's variant):
+/// 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+DJ_NOALLOC void Gelu(int n, const float* x, float* y);
+
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+
+/// The tanh argument of Gelu, evaluated exactly as Gelu's lane code does in
+/// both tiers (five separately rounded operations, left to right), so
+/// Tanh(GeluTanhArg(x)) reproduces the tanh inside Gelu(x) bit for bit.
+inline float GeluTanhArg(float x) {
+  return kGeluC * (x + kGeluA * x * x * x);
+}
 
 // Blocked, packed single-precision GEMM, accumulating: C += op(A) @ op(B).
 // All matrices are row-major with explicit leading dimensions (so callers

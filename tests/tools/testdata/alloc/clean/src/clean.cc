@@ -19,3 +19,11 @@ int Accumulate(const int* xs, int n) { return Helper(xs, n); }
 int* MakeBuffer(int n) { return new int[n]; }
 
 }  // namespace fixture
+
+namespace other {
+
+// Same bare name as fixture::Accumulate in another namespace: a different
+// function, so neither its allocation nor fixture's contract crosses over.
+int* Accumulate(int n) { return new int[n]; }
+
+}  // namespace other

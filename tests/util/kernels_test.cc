@@ -10,6 +10,9 @@
 //     bit-identical).
 //  3. Path parity: the transformer's allocation-free EncodeToVector
 //     fast path is bit-identical to the autograd graph forward.
+//  4. Transcendental accuracy: Exp / Tanh / Gelu stay within their
+//     documented error bounds of double libm, keep NaN / inf / signed-zero
+//     semantics, and give each element the same bits wherever it sits.
 //
 // Buffers are exact-size heap allocations so the ASan leg of check.sh
 // catches any out-of-bounds read a tail/corner case might perform;
@@ -17,8 +20,11 @@
 // denormals and negative zeros.
 #include "util/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -369,6 +375,174 @@ TEST(KernelsTest, ScaleAddInPlaceAliasingAllowed) {
       ASSERT_EQ(0,
                 std::memcmp(&x[static_cast<size_t>(i)], &want, sizeof(float)))
           << TierName(tier) << " i=" << i;
+    }
+  }
+}
+
+// ---- Elementwise transcendentals (Exp / Tanh / Gelu) ----
+
+using ElementwiseFn = void (*)(int, const float*, float*);
+
+float Apply1(ElementwiseFn fn, float x) {
+  float y = 0.0f;
+  fn(1, &x, &y);
+  return y;
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+/// Evenly spaced sweep of [lo, hi] with `count` points (both ends in).
+std::vector<float> Sweep(double lo, double hi, int count) {
+  std::vector<float> v(static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    v[static_cast<size_t>(i)] =
+        static_cast<float>(lo + (hi - lo) * i / (count - 1));
+  }
+  return v;
+}
+
+double GeluDouble(float xf) {
+  const double x = xf;
+  return 0.5 * x *
+         (1.0 + std::tanh(0.7978845608028654 * (x + 0.044715 * x * x * x)));
+}
+
+TEST(KernelsTest, ExpWithinThreeUlpOfDoubleExp) {
+  // [-87.3, 88.7]: every result is a normal float (FLT_MIN ~ e^-87.34).
+  const auto x = Sweep(-87.3, 88.7, 1 << 21);
+  std::vector<float> y(x.size());
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    Exp(static_cast<int>(x.size()), x.data(), y.data());
+    double worst = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double want = std::exp(static_cast<double>(x[i]));
+      const double ulp =
+          std::ldexp(1.0, std::ilogb(static_cast<float>(want)) - 23);
+      const double err = std::fabs(y[i] - want) / ulp;
+      worst = std::max(worst, err);
+      ASSERT_LE(err, 3.0) << TierName(tier) << " x=" << x[i];
+    }
+    std::printf("Exp [%s]: max error %.3f ulp\n", TierName(tier), worst);
+  }
+}
+
+TEST(KernelsTest, TanhAndGeluWithinAbsoluteBoundOfDoubleTanh) {
+  const auto x = Sweep(-12.0, 12.0, 1 << 21);
+  std::vector<float> t(x.size()), g(x.size());
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    Tanh(static_cast<int>(x.size()), x.data(), t.data());
+    Gelu(static_cast<int>(x.size()), x.data(), g.data());
+    double worst_t = 0.0, worst_g = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double et = std::fabs(t[i] - std::tanh(static_cast<double>(x[i])));
+      // Gelu's tanh error is scaled by |x|/2 in the result, and the result
+      // itself rounds to a float: the bound grows with |x| above 1.
+      const double eg = std::fabs(g[i] - GeluDouble(x[i])) /
+                        std::max(1.0, std::fabs(static_cast<double>(x[i])));
+      worst_t = std::max(worst_t, et);
+      worst_g = std::max(worst_g, eg);
+      ASSERT_LE(et, 2.5e-7) << TierName(tier) << " x=" << x[i];
+      ASSERT_LE(eg, 2.5e-7) << TierName(tier) << " x=" << x[i];
+    }
+    std::printf("Tanh [%s]: max abs error %.3g; Gelu: %.3g * max(1, |x|)\n",
+                TierName(tier), worst_t, worst_g);
+  }
+}
+
+TEST(KernelsTest, TranscendentalSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    SCOPED_TRACE(TierName(tier));
+    // A bad activation must stay visibly bad, never become a finite value.
+    for (ElementwiseFn fn : {&Exp, &Tanh, &Gelu}) {
+      EXPECT_TRUE(std::isnan(Apply1(fn, nan)));
+      EXPECT_TRUE(std::isnan(Apply1(fn, -nan)));
+    }
+    EXPECT_EQ(0.0f, Apply1(&Exp, -inf));
+    EXPECT_EQ(0.0f, Apply1(&Exp, -200.0f));
+    EXPECT_EQ(1.0f, Apply1(&Exp, 0.0f));
+    EXPECT_EQ(1.0f, Apply1(&Exp, -0.0f));
+    for (float big : {88.8f, 89.0f, 100.0f, 1e30f, inf}) {
+      EXPECT_EQ(inf, Apply1(&Exp, big)) << big;
+    }
+    // Just below overflow stays finite; below FLT_MIN underflows gradually.
+    EXPECT_TRUE(std::isfinite(Apply1(&Exp, 88.72f)));
+    const float sub = Apply1(&Exp, -100.0f);
+    EXPECT_GT(sub, 0.0f);
+    EXPECT_LT(sub, std::numeric_limits<float>::min());
+    EXPECT_NEAR(sub, static_cast<float>(std::exp(-100.0)),
+                std::numeric_limits<float>::denorm_min());
+
+    EXPECT_EQ(1.0f, Apply1(&Tanh, inf));
+    EXPECT_EQ(-1.0f, Apply1(&Tanh, -inf));
+    EXPECT_EQ(1.0f, Apply1(&Tanh, 50.0f));
+    EXPECT_TRUE(SameBits(0.0f, Apply1(&Tanh, 0.0f)));
+    EXPECT_TRUE(SameBits(-0.0f, Apply1(&Tanh, -0.0f)));
+    EXPECT_EQ(inf, Apply1(&Gelu, inf));
+    EXPECT_EQ(0.0f, Apply1(&Gelu, 0.0f));
+
+    // Odd symmetry is exact, across both polynomial branches.
+    const auto xs = Sweep(0.0, 12.0, 20001);
+    for (float v : xs) {
+      ASSERT_TRUE(SameBits(-Apply1(&Tanh, v), Apply1(&Tanh, -v))) << v;
+    }
+  }
+}
+
+TEST(KernelsTest, TranscendentalsIgnoreLengthAlignmentAndAliasing) {
+  // y[i] depends on x[i] alone: every length 0..17 (all AVX2 tail sizes),
+  // unaligned starts and in-place calls reproduce the one-element result.
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    for (ElementwiseFn fn : {&Exp, &Tanh, &Gelu}) {
+      for (int n = 0; n <= 17; ++n) {
+        for (int offset : {0, 1, 3}) {
+          // Exact-size heap buffers: any over-read or over-write trips ASan.
+          const size_t len = static_cast<size_t>(n + offset);
+          auto x = std::make_unique<float[]>(len);
+          auto y = std::make_unique<float[]>(len);
+          auto inplace = std::make_unique<float[]>(len);
+          for (int i = 0; i < n; ++i) {
+            x[static_cast<size_t>(offset + i)] = TestValue(i) * 3.0f;
+            inplace[static_cast<size_t>(offset + i)] = TestValue(i) * 3.0f;
+          }
+          fn(n, x.get() + offset, y.get() + offset);
+          fn(n, inplace.get() + offset, inplace.get() + offset);
+          for (int i = 0; i < n; ++i) {
+            const size_t s = static_cast<size_t>(offset + i);
+            const float want = Apply1(fn, x[s]);
+            ASSERT_TRUE(SameBits(want, y[s]))
+                << TierName(tier) << " n=" << n << " off=" << offset
+                << " i=" << i;
+            ASSERT_TRUE(SameBits(want, inplace[s]))
+                << TierName(tier) << " n=" << n << " off=" << offset
+                << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GeluRunsTheTanhLaneOnGeluTanhArg) {
+  // The GELU backward recomputes tanh as Tanh(GeluTanhArg(x)); that must be
+  // the very value the forward used, bit for bit, in every tier.
+  const auto x = Sweep(-9.0, 9.0, 40001);
+  for (Tier tier : AvailableTiers()) {
+    ForcedTier forced(tier);
+    std::vector<float> arg(x.size()), t(x.size()), g(x.size());
+    for (size_t i = 0; i < x.size(); ++i) arg[i] = GeluTanhArg(x[i]);
+    Tanh(static_cast<int>(x.size()), arg.data(), t.data());
+    Gelu(static_cast<int>(x.size()), x.data(), g.data());
+    for (size_t i = 0; i < x.size(); ++i) {
+      const float want = (0.5f * x[i]) * (1.0f + t[i]);
+      ASSERT_TRUE(SameBits(want, g[i])) << TierName(tier) << " x=" << x[i];
     }
   }
 }

@@ -68,8 +68,10 @@ run_profile() {
     -j "$JOBS" $ctest_args)
 }
 
-# Runs the kernel parity suite in both dispatch tiers, then cross-checks
-# the encoder through tools/encoder_probe: a fresh dump must compare
+# Runs the kernel parity suite in both dispatch tiers, checks the encoder
+# against the test's independent libm reference forward in the scalar tier
+# (ctest already ran it in the native one), then cross-checks the encoder
+# through tools/encoder_probe: a fresh dump must compare
 # bit-identically against itself within each tier, and the scalar tier
 # must stay within 1e-4 of the native tier (the documented precision gap
 # between reduction orders — util/kernels.h). On hosts without AVX2 both
@@ -81,6 +83,8 @@ check_kernel_tiers() {
   "$ROOT/$dir/tests/kernels_test"
   echo "=== [$label] kernels_test: DJ_FORCE_SCALAR_KERNELS=1 ==="
   DJ_FORCE_SCALAR_KERNELS=1 "$ROOT/$dir/tests/kernels_test"
+  echo "=== [$label] encoder_reference_test: DJ_FORCE_SCALAR_KERNELS=1 ==="
+  DJ_FORCE_SCALAR_KERNELS=1 "$ROOT/$dir/tests/encoder_reference_test"
   echo "=== [$label] encoder_probe: tier diff ==="
   local dump
   dump="$(mktemp "${TMPDIR:-/tmp}/encoder_probe.XXXXXX")"

@@ -14,11 +14,13 @@
 //      std::function declarations, container growth calls
 //      (push_back/resize/reserve/append/insert/…) and string
 //      concatenation with a literal — and (b) every call site.
-//   3. Resolves calls against class-qualified function keys
-//      (`Class::Name` for members, bare `Name` for free functions):
-//      explicit `X::f(...)` first, then the caller's own class, then a
-//      globally unique name; ambiguous names are dropped (see blind
-//      spots).
+//   3. Resolves calls against qualified function keys (`Class::Name`
+//      for members, `ns::Name` for free functions, keyed by their
+//      innermost named namespace, so kern::Gelu and nn::Gelu stay two
+//      functions; bare `Name` outside any named namespace): explicit
+//      `X::f(...)` first, then the caller's own class, then the caller's
+//      namespace, then a globally unique name; ambiguous names are
+//      dropped (see blind spots).
 //   4. Runs the shared transitive may-allocate fixpoint
 //      (lintc::ReachWitness) over the call graph.
 //   5. Reports every DJ_NOALLOC function that can reach an allocation,
@@ -91,7 +93,9 @@ const std::set<std::string>& GrowthCalls() {
 struct CallSite {
   std::string callee;     // unqualified name as written
   std::string qualifier;  // explicit `X::` at the call site ("" if none)
-  std::string caller_class;  // class of the enclosing function ("" if free)
+  std::string caller_class;  // key prefix of the enclosing function: its
+                             // class, or its namespace if free ("" if none)
+  std::string caller_ns;     // innermost named namespace at the call site
   bool member_call = false;   // written as `recv.f(...)` or `recv->f(...)`
   bool receiver_this = false;  // the receiver token is `this`
   std::string file;
@@ -100,6 +104,7 @@ struct CallSite {
 
 struct FuncInfo {
   bool noalloc = false;       // carries a DJ_NOALLOC annotation
+  bool free_function = false;  // keyed by namespace, not by class
   std::string def_site_file;  // first seen definition (for reporting)
   size_t def_site_line = 0;
   std::string direct_event;   // first unsuppressed allocation event label
@@ -163,18 +168,21 @@ class Analyzer {
   }
 
  private:
-  /// Resolution order: explicit `X::f` > caller's own class `C::f` > exact
-  /// free-function key `f` > globally unique `*::f`. Everything else is
-  /// dropped (ambiguous or external).
+  /// Resolution order: explicit `X::f` > caller's own class `C::f` >
+  /// caller's namespace `ns::f` > exact bare key `f` > globally unique
+  /// `*::f`. Everything else is dropped (ambiguous or external).
   std::string Resolve(
       const CallSite& c,
       const std::map<std::string, std::vector<std::string>>& by_name) const {
     if (!c.qualifier.empty()) {
       const std::string qualified = c.qualifier + "::" + c.callee;
       if (funcs_.count(qualified) != 0) return qualified;
-      // Namespace-qualified free function (e.g. kern::Dot): the key holds
-      // only the bare name.
+      // A free function defined outside any named namespace.
       if (funcs_.count(c.callee) != 0) return c.callee;
+      // A qualifier the lexer could not key by (e.g. a class declared
+      // `class [[nodiscard]] Status`): fall back to a unique name.
+      auto it = by_name.find(c.callee);
+      if (it != by_name.end() && it->second.size() == 1) return it->second[0];
       return "";
     }
     // A member call through another receiver (`vocab_.Encode(...)`,
@@ -187,8 +195,8 @@ class Analyzer {
       if (it == by_name.end()) return "";
       std::string found;
       for (const std::string& key : it->second) {
-        if (key.find("::") == std::string::npos) continue;  // free function
-        if (!found.empty()) return "";                      // ambiguous
+        if (funcs_.at(key).free_function) continue;
+        if (!found.empty()) return "";  // ambiguous
         found = key;
       }
       return found;
@@ -196,6 +204,10 @@ class Analyzer {
     if (!c.caller_class.empty()) {
       const std::string same_class = c.caller_class + "::" + c.callee;
       if (funcs_.count(same_class) != 0) return same_class;
+    }
+    if (!c.caller_ns.empty()) {
+      const std::string same_ns = c.caller_ns + "::" + c.callee;
+      if (funcs_.count(same_ns) != 0) return same_ns;
     }
     if (funcs_.count(c.callee) != 0) return c.callee;
     auto it = by_name.find(c.callee);
@@ -226,6 +238,7 @@ class Analyzer {
     struct Scope {
       ScopeKind kind = kBlock;
       std::string class_name;  // for kClass
+      std::string ns_name;     // for kNamespace ("" if anonymous)
       std::string func_key;    // for kFunction
     };
     std::vector<Scope> scopes;
@@ -244,8 +257,17 @@ class Analyzer {
       }
       return "";
     };
+    auto innermost_namespace = [&]() -> std::string {
+      for (size_t i = scopes.size(); i-- > 0;) {
+        if (scopes[i].kind == kNamespace && !scopes[i].ns_name.empty()) {
+          return scopes[i].ns_name;
+        }
+      }
+      return "";
+    };
     // Function key for a head whose name token sits at `idx`: explicit
-    // `X::name` qualification wins, else the enclosing class, else bare.
+    // `X::name` qualification wins, else the enclosing class, else the
+    // innermost named namespace (a free function), else bare.
     auto key_for_head = [&](const std::vector<Tok>& h, size_t idx,
                             const std::string& name) {
       if (idx >= 3 && h[idx - 1].text == ":" && h[idx - 2].text == ":" &&
@@ -253,7 +275,11 @@ class Analyzer {
         return h[idx - 3].text + "::" + name;
       }
       const std::string cls = enclosing_class();
-      return cls.empty() ? name : cls + "::" + name;
+      if (!cls.empty()) return cls + "::" + name;
+      const std::string ns = innermost_namespace();
+      const std::string key = ns.empty() ? name : ns + "::" + name;
+      funcs_[key].free_function = true;
+      return key;
     };
     auto head_has_noalloc = [](const std::vector<Tok>& h) {
       for (const Tok& t : h) {
@@ -274,7 +300,7 @@ class Analyzer {
       const Tok& t = toks[i];
       if (t.text == "{") {
         Scope s;
-        std::string class_kw_name;
+        std::string class_kw_name, ns_kw_name;
         bool has_class = false, has_namespace = false;
         for (size_t h = 0; h + 1 < head.size(); ++h) {
           if (head[h].text == "class" || head[h].text == "struct" ||
@@ -284,7 +310,13 @@ class Analyzer {
               class_kw_name = head[h + 1].text;
             }
           }
-          if (head[h].text == "namespace") has_namespace = true;
+          if (head[h].text == "namespace") {
+            has_namespace = true;
+            // `namespace a::b {` opens b: keep the last name.
+            for (size_t n = h + 1; n < head.size(); ++n) {
+              if (head[n].kind == Tok::kIdent) ns_kw_name = head[n].text;
+            }
+          }
         }
         if (!head.empty() && head.back().text == "namespace") {
           has_namespace = true;  // anonymous namespace
@@ -301,6 +333,7 @@ class Analyzer {
         }
         if (has_namespace && !in_function) {
           s.kind = kNamespace;
+          s.ns_name = ns_kw_name;
         } else if (has_class && !in_function) {
           s.kind = kClass;
           s.class_name = class_kw_name;
@@ -430,6 +463,7 @@ class Analyzer {
         }
         const size_t sep = fn.rfind("::");
         if (sep != std::string::npos) c.caller_class = fn.substr(0, sep);
+        c.caller_ns = innermost_namespace();
         c.file = rel;
         c.line = t.line;
         funcs_[fn].calls.push_back(std::move(c));
@@ -438,7 +472,7 @@ class Analyzer {
   }
 
   fs::path root_;
-  std::map<std::string, FuncInfo> funcs_;  // class-qualified name -> info
+  std::map<std::string, FuncInfo> funcs_;  // qualified key -> info
   std::vector<Violation> violations_;
   size_t files_scanned_ = 0;
 };
