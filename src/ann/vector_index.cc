@@ -334,136 +334,5 @@ Result<std::unique_ptr<FlatIndex>> FlatIndex::LoadPayload(
                                      std::move(tombstones), deleted);
 }
 
-// ---- SharedScan: the cooperative tile-granular scan (DESIGN.md §13) ----
-
-FlatIndex::SharedScan::SharedScan(const FlatIndex* index)
-    : index_(index),
-      rows_(index->size()),
-      tiles_((rows_ + kScoreTileRows - 1) / kScoreTileRows) {}
-
-size_t FlatIndex::SharedScan::Board(const float* query, size_t k) {
-  size_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = riders_.size();
-    riders_.emplace_back();
-  }
-  Rider& r = riders_[slot];
-  const size_t d = static_cast<size_t>(index_->dim());
-  r.query.assign(query, query + d);
-  r.qnorm = kern::Dot(query, query, index_->dim());
-  if (k > 0) {
-    r.top.emplace(k);
-  } else {
-    r.top.reset();
-  }
-  // k == 0 wants nothing; an empty corpus has nothing. Either way the
-  // rider skips scoring and completes on the next Step.
-  r.tiles_left = (k == 0) ? 0 : tiles_;
-  active_.push_back(slot);
-  return slot;
-}
-
-size_t FlatIndex::SharedScan::Step(std::vector<size_t>* done) {
-  if (active_.empty()) return 0;
-  // Cohort: riders with tiles still to ride (k==0 / empty-corpus riders
-  // fall straight through to the completion sweep).
-  cohort_.clear();
-  for (const size_t slot : active_) {
-    if (riders_[slot].tiles_left > 0) cohort_.push_back(slot);
-  }
-  if (!cohort_.empty()) {
-    const size_t c = cursor_ * kScoreTileRows;
-    const size_t rows = std::min(kScoreTileRows, rows_ - c);
-    const size_t d = static_cast<size_t>(index_->dim());
-    const size_t nq = cohort_.size();
-    trace::Count("flat.dist_evals", rows * nq);
-    // Lazily-validated (mapped) stores check this tile's pages once.
-    index_->store_->TouchRows(c, rows);
-    const float* base = index_->store_->float_base();
-    const float* norms = index_->store_->norms_base();
-    if (nq < kBatchGemmMinQueries || base == nullptr || norms == nullptr) {
-      // Row-major shared pass, same as the small-batch arm of
-      // SearchBatchInto: each tile row is loaded once and scored against
-      // the whole cohort (bit-identical to the single-query Search).
-      // Non-float stores (SQ8) go through the fused quantized kernel.
-      for (size_t j = 0; j < rows; ++j) {
-        const u32 id = static_cast<u32>(c + j);
-        if (index_->IsDeleted(id)) continue;  // tombstoned
-        const float* const row = base != nullptr ? base + (c + j) * d
-                                                 : nullptr;
-        for (const size_t slot : cohort_) {
-          Rider& r = riders_[slot];
-          const float dist =
-              row != nullptr
-                  ? kern::SquaredL2(r.query.data(), row, index_->dim())
-                  : index_->store_->Distance(r.query.data(), id);
-          r.top->Push(-static_cast<double>(dist), id);
-        }
-      }
-    } else {
-      // Tiled-SGEMM arm: gather the cohort's queries into a contiguous
-      // matrix and recombine distances from the cached row norms, exactly
-      // like the batched scorer above.
-      if (qmat_.size() < nq * d) qmat_.resize(nq * d);
-      if (scores_.size() < nq * kScoreTileRows) {
-        scores_.resize(nq * kScoreTileRows);
-      }
-      for (size_t q = 0; q < nq; ++q) {
-        const Rider& r = riders_[cohort_[q]];
-        std::copy(r.query.begin(), r.query.end(), qmat_.begin() + q * d);
-      }
-      // SgemmNT accumulates (C += A @ B^T); the reused tile buffer must
-      // be zeroed first.
-      std::fill(scores_.begin(), scores_.begin() + nq * kScoreTileRows,
-                0.0f);
-      kern::SgemmNT(static_cast<int>(nq), static_cast<int>(rows),
-                    static_cast<int>(d), qmat_.data(), static_cast<int>(d),
-                    base + c * d, static_cast<int>(d),
-                    scores_.data(), static_cast<int>(kScoreTileRows));
-      for (size_t q = 0; q < nq; ++q) {
-        Rider& r = riders_[cohort_[q]];
-        const float* row = scores_.data() + q * kScoreTileRows;
-        for (size_t j = 0; j < rows; ++j) {
-          const u32 id = static_cast<u32>(c + j);
-          if (index_->IsDeleted(id)) continue;  // tombstoned
-          const float dist = r.qnorm + norms[c + j] - 2.0f * row[j];
-          r.top->Push(-static_cast<double>(dist), id);
-        }
-      }
-    }
-    for (const size_t slot : cohort_) --riders_[slot].tiles_left;
-    cursor_ = (cursor_ + 1) % tiles_;
-  }
-  // Completion sweep (swap-remove: completion order is not FIFO).
-  size_t finished = 0;
-  for (size_t i = 0; i < active_.size();) {
-    const size_t slot = active_[i];
-    if (riders_[slot].tiles_left == 0) {
-      done->push_back(slot);
-      ++finished;
-      active_[i] = active_.back();
-      active_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  return finished;
-}
-
-void FlatIndex::SharedScan::Harvest(size_t slot, std::vector<Neighbor>* out) {
-  out->clear();
-  Rider& r = riders_[slot];
-  if (r.top.has_value()) {
-    for (const auto& s : r.top->Take()) {
-      out->push_back(Neighbor{static_cast<float>(-s.score), s.id});
-    }
-    r.top.reset();
-  }
-  free_.push_back(slot);
-}
-
 }  // namespace ann
 }  // namespace deepjoin

@@ -6,7 +6,6 @@
 #define DEEPJOIN_ANN_VECTOR_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,9 +131,10 @@ class VectorIndex {
   /// Human-readable name for bench output.
   virtual const char* name() const = 0;
 
-  /// Downcast hook for callers that can exploit flat-specific machinery
-  /// without RTTI — the serving layer uses it to open a cooperative
-  /// SharedScan session. nullptr for every other backend.
+  /// Downcast hook for callers that need the flat index's stored rows or
+  /// storage kind without RTTI (benchmarks and tests read rows back as an
+  /// exact reference). No query path branches on it. nullptr for every
+  /// other backend.
   virtual const FlatIndex* AsFlat() const { return nullptr; }
 };
 
@@ -206,68 +206,6 @@ class FlatIndex : public VectorIndex {
     DJ_CHECK(base != nullptr);
     return base + static_cast<size_t>(id) * static_cast<size_t>(dim());
   }
-
-  /// Cooperative shared scan (DESIGN.md §13): the corpus is scored one
-  /// tile at a time around a circular cursor; a query boards between any
-  /// two tiles, rides exactly one wrap (every tile once), and completes.
-  /// An arrival therefore waits at most one tile (~sub-millisecond)
-  /// instead of a full in-flight corpus pass — this is what keeps the
-  /// serving layer's low-rate tail near the single-query floor — while
-  /// every rider on a tile shares its single corpus stream exactly like
-  /// SearchBatchInto (scalar row-major below the GEMM cutover, tiled
-  /// SGEMM at or above it). Results match Search(): every live row is
-  /// scored exactly once per rider.
-  ///
-  /// Single-owner (one dispatcher thread drives Board/Step/Harvest), and
-  /// the same concurrency contract as Search: no concurrent structural
-  /// mutation of the flat index. The row count is frozen at construction
-  /// — rows added later are not scanned; start a new session instead.
-  class SharedScan {
-   public:
-    explicit SharedScan(const FlatIndex* index);
-    SharedScan(const SharedScan&) = delete;
-    SharedScan& operator=(const SharedScan&) = delete;
-
-    /// Boards one query (copied out) wanting `k` results; returns the
-    /// rider's slot, valid until Harvest frees it. k == 0 or an empty
-    /// corpus completes with no hits on the next Step.
-    size_t Board(const float* query, size_t k);
-
-    /// Scores the next tile for every active rider and appends the slots
-    /// of riders that just completed their wrap to `*done` (not cleared).
-    /// Returns how many completed; 0 with no riders is a no-op.
-    size_t Step(std::vector<size_t>* done);
-
-    /// Moves rider `slot`'s results (nearest first) into `*out` (cleared
-    /// first) and recycles the slot. Call exactly once per done slot.
-    void Harvest(size_t slot, std::vector<Neighbor>* out);
-
-    size_t active() const { return active_.size(); }
-    bool empty() const { return active_.empty(); }
-    /// Tiles in one full wrap (0 for an empty corpus).
-    size_t tiles() const { return tiles_; }
-
-   private:
-    struct Rider {
-      std::vector<float> query;  ///< owned copy; capacity reused via slots
-      float qnorm = 0.0f;        ///< ||q||^2 for the GEMM recombination
-      std::optional<TopK> top;   ///< unset for k == 0 and after Harvest
-      size_t tiles_left = 0;     ///< completes when this hits 0
-    };
-
-    const FlatIndex* const index_;
-    const size_t rows_;  ///< frozen at construction (see class comment)
-    const size_t tiles_;
-    size_t cursor_ = 0;  ///< next tile to score
-
-    std::vector<Rider> riders_;   ///< slot pool
-    std::vector<size_t> free_;    ///< recycled slots
-    std::vector<size_t> active_;  ///< riding slots (order not FIFO)
-    // Per-tile scratch; capacity reused across steps.
-    std::vector<size_t> cohort_;  ///< active slots scored this tile
-    std::vector<float> qmat_;     ///< cohort queries, row-major
-    std::vector<float> scores_;   ///< cohort x tile dot products
-  };
 
  private:
   std::unique_ptr<VectorStore> store_;   // searched representation

@@ -1147,42 +1147,6 @@ void EmbeddingSearcher::SearchBatchInto(const lake::Column* const* queries,
   SearchesCounter()->Add(n);
 }
 
-EmbeddingSearcher::StreamScan EmbeddingSearcher::NewStreamScan() const {
-  StreamScan s;
-  s.searcher_ = this;
-  s.snap_ = PinSnapshot();
-  if (s.snap_ != nullptr) {
-    const ann::FlatIndex* const flat = s.snap_->index->AsFlat();
-    if (flat != nullptr) {
-      s.scan_ = std::make_unique<ann::FlatIndex::SharedScan>(flat);
-    }
-  }
-  return s;
-}
-
-bool EmbeddingSearcher::StreamScan::stale() const {
-  return searcher_ != nullptr && searcher_->PinSnapshot() != snap_;
-}
-
-size_t EmbeddingSearcher::StreamScan::Board(const lake::Column& query,
-                                            size_t k) {
-  DJ_CHECK_MSG(valid(), "StreamScan::Board on an invalid session");
-  const size_t d = static_cast<size_t>(searcher_->dim_);
-  if (qbuf_.size() < d) qbuf_.resize(d);
-  searcher_->encoder_->EncodeInto(query, qbuf_.data());
-  return scan_->Board(qbuf_.data(), k);
-}
-
-void EmbeddingSearcher::StreamScan::Harvest(size_t slot, SearchResult* out) {
-  scan_->Harvest(slot, &hitbuf_);
-  const IdMap* const map = snap_->to_column.get();
-  out->ids.clear();
-  for (const auto& h : hitbuf_) {
-    out->ids.push_back(map != nullptr ? map->At(h.id) : h.id);
-  }
-  SearchesCounter()->Increment();
-}
-
 size_t EmbeddingSearcher::index_size() const {
   const auto snap = PinSnapshot();
   return snap != nullptr ? snap->index->size() : 0;

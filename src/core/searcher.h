@@ -321,46 +321,6 @@ class EmbeddingSearcher {
   /// BuildIndex/AddColumn/OpenLive.
   std::shared_ptr<const IndexSnapshot> PinSnapshot() const;
 
-  /// Streaming shared-scan session for the serving layer (DESIGN.md §13;
-  /// flat backend only). Construction pins the current snapshot; queries
-  /// Board() between corpus tiles, ride one full wrap of
-  /// FlatIndex::SharedScan, and Harvest() maps hits to repository column
-  /// ids. Single-owner (one dispatcher thread drives it). Sessions are
-  /// cheap to open; callers drain and start a fresh one when stale()
-  /// reports the searcher has published a newer snapshot.
-  class StreamScan {
-   public:
-    /// False when no index exists yet or the pinned backend has no shared
-    /// scan (HNSW/IVFPQ) — callers fall back to SearchBatchInto.
-    bool valid() const { return scan_ != nullptr; }
-    /// True once the searcher published a snapshot other than the pinned
-    /// one (compaction / rebuild): stop boarding, drain, reopen.
-    bool stale() const;
-    /// Encodes `query` and boards it wanting `k` results; returns the
-    /// rider slot. Requires valid().
-    size_t Board(const lake::Column& query, size_t k);
-    /// Scores one tile; appends completed rider slots to `*done`.
-    size_t Step(std::vector<size_t>* done) {
-      return valid() ? scan_->Step(done) : 0;
-    }
-    /// Fills out->ids (nearest first, repository column ids) for a done
-    /// rider and recycles its slot. out->stats is left untouched.
-    void Harvest(size_t slot, SearchResult* out);
-    size_t active() const { return valid() ? scan_->active() : 0; }
-    bool empty() const { return !valid() || scan_->empty(); }
-
-   private:
-    friend class EmbeddingSearcher;
-    const EmbeddingSearcher* searcher_ = nullptr;
-    std::shared_ptr<const IndexSnapshot> snap_;
-    std::unique_ptr<ann::FlatIndex::SharedScan> scan_;
-    std::vector<float> qbuf_;            // one encoded query
-    std::vector<ann::Neighbor> hitbuf_;  // Harvest staging
-  };
-
-  /// Opens a streaming scan session against the current snapshot.
-  StreamScan NewStreamScan() const;
-
   /// Published vectors in the current index, tombstones included.
   size_t index_size() const;
   /// index_size() minus tombstones: the number of searchable columns.

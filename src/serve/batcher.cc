@@ -126,17 +126,6 @@ size_t Batcher::CollectBatch(Request** batch, size_t batch_cap,
   }
 }
 
-size_t Batcher::TryCollect(Request** batch, size_t batch_cap,
-                           Request** expired, size_t expired_cap,
-                           size_t* num_expired) {
-  *num_expired = 0;
-  const size_t max_batch = std::min(config_.max_batch, batch_cap);
-  MutexLock lock(mu_);
-  SweepExpiredLocked(std::chrono::steady_clock::now(), expired, expired_cap,
-                     num_expired);
-  return TakeLocked(batch, max_batch);
-}
-
 void Batcher::Stop() {
   {
     MutexLock lock(mu_);

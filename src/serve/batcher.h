@@ -98,16 +98,6 @@ class Batcher {
   size_t CollectBatch(Request** batch, size_t batch_cap, Request** expired,
                       size_t expired_cap, size_t* num_expired);
 
-  /// Non-blocking variant for the streaming dispatcher (DESIGN.md §13):
-  /// sweeps queue-stage expirations and takes up to min(max_batch,
-  /// batch_cap) waiting requests RIGHT NOW — no flush-window wait. While
-  /// a cooperative shared scan is running, arrivals board at the next
-  /// tile boundary; holding them for a batching window would only add
-  /// latency. Returns the batch size; 0 with *num_expired == 0 means the
-  /// queue was empty.
-  size_t TryCollect(Request** batch, size_t batch_cap, Request** expired,
-                    size_t expired_cap, size_t* num_expired);
-
   /// Stops admissions and wakes the dispatcher; queued requests still
   /// flush (drain) through subsequent CollectBatch calls.
   void Stop();

@@ -78,7 +78,8 @@ metrics::Histogram* TotalHistogram() {
 
 bool SameExecOptions(const core::SearchOptions& a,
                      const core::SearchOptions& b) {
-  return a.k == b.k && a.ef_search == b.ef_search && a.nprobe == b.nprobe;
+  return a.k == b.k && a.ef_search == b.ef_search && a.nprobe == b.nprobe &&
+         a.refine_factor == b.refine_factor;
 }
 
 /// Completion event for the blocking Query() wrapper. One per client
@@ -107,8 +108,6 @@ QueryService::QueryService(core::EmbeddingSearcher* searcher,
   expired_.resize(config_.batcher.max_queue);
   query_ptrs_.resize(config_.batcher.max_batch);
   out_ptrs_.resize(config_.batcher.max_batch);
-  rider_meta_.resize(config_.batcher.max_batch);
-  done_.reserve(config_.batcher.max_batch);
 }
 
 QueryService::~QueryService() { Stop(); }
@@ -199,93 +198,8 @@ void QueryService::DispatcherLoop() {
       r->queue_ms = Ms(now - r->admit_time);
       Complete(r, Status::DeadlineExceeded("deadline expired in queue"));
     }
-    if (n == 0) {
-      if (num_expired == 0) break;  // stopped and fully drained
-      continue;
-    }
-    // Flat backends execute through the cooperative shared scan (arrivals
-    // board between corpus tiles); everything else runs the collected
-    // batch whole.
-    core::EmbeddingSearcher::StreamScan scan = searcher_->NewStreamScan();
-    if (scan.valid()) {
-      RunStreamScan(&scan, batch_.data(), n);
-    } else {
-      ExecuteBatch(batch_.data(), n);
-    }
-  }
-}
-
-size_t QueryService::BoardGroup(core::EmbeddingSearcher::StreamScan* scan,
-                                Request** batch, size_t n) {
-  const auto now = std::chrono::steady_clock::now();
-  size_t boarded = 0;
-  for (size_t i = 0; i < n; ++i) {
-    Request* const r = batch[i];
-    // Batched-stage expiry: the deadline passed between collection and
-    // boarding — short-circuit before the encode stage.
-    if (r->deadline.expired(now)) {
-      r->queue_ms = Ms(now - r->admit_time);
-      Complete(r,
-               Status::DeadlineExceeded("deadline expired before execution"));
-      continue;
-    }
-    r->queue_ms = Ms(now - r->admit_time);
-    const size_t slot = scan->Board(*r->query, r->options.k);
-    if (slot >= rider_meta_.size()) rider_meta_.resize(slot + 1);
-    rider_meta_[slot] = RiderMeta{r, now};
-    ++boarded;
-  }
-  if (boarded > 0) {
-    // Each boarding group is one "batch" in SLO terms: the cohort whose
-    // corpus stream is shared.
-    BatchesCounter()->Increment();
-    BatchSizeHistogram()->Record(static_cast<double>(boarded));
-  }
-  return boarded;
-}
-
-void QueryService::RunStreamScan(core::EmbeddingSearcher::StreamScan* scan,
-                                 Request** batch, size_t n) {
-  BoardGroup(scan, batch, n);
-  while (!scan->empty()) {
-    done_.clear();
-    scan->Step(&done_);
-    if (!done_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      for (const size_t slot : done_) {
-        Request* const r = rider_meta_[slot].req;
-        scan->Harvest(slot, &r->result);
-        r->exec_ms = Ms(now - rider_meta_[slot].boarded);
-        if (r->deadline.expired(now)) {
-          // Executed, but too late to count: DeadlineExceeded for the
-          // caller, expired (not goodput) for SLO accounting.
-          Complete(r, Status::DeadlineExceeded(
-                          "deadline expired during execution"));
-        } else {
-          Complete(r, Status::OK());
-        }
-      }
-    }
-    // Board new arrivals between tiles — the cooperative move that keeps
-    // a low-rate arrival from waiting out the whole in-flight pass. A
-    // stale session (snapshot republished underneath) stops boarding and
-    // drains; the dispatcher loop reopens against the fresh snapshot.
-    if (scan->active() < config_.batcher.max_batch && !scan->stale()) {
-      size_t num_expired = 0;
-      const size_t m = batcher_.TryCollect(
-          batch_.data(), config_.batcher.max_batch - scan->active(),
-          expired_.data(), expired_.size(), &num_expired);
-      if (num_expired > 0) {
-        const auto now = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < num_expired; ++i) {
-          // Queue-stage expiry, same as the dispatcher loop's sweep.
-          Request* const r = expired_[i];
-          r->queue_ms = Ms(now - r->admit_time);
-          Complete(r, Status::DeadlineExceeded("deadline expired in queue"));
-        }
-      }
-      if (m > 0) BoardGroup(scan, batch_.data(), m);
-    }
+    if (n == 0 && num_expired == 0) break;  // stopped and fully drained
+    ExecuteBatch(batch_.data(), n);
   }
 }
 
@@ -303,8 +217,8 @@ void QueryService::ExecuteBatch(Request** batch, size_t n) {
       ++i;
       continue;
     }
-    // Maximal run of batch-compatible requests (same k/ef/nprobe) —
-    // FIFO order is preserved across runs.
+    // Maximal run of batch-compatible requests (same k, ef_search, nprobe
+    // and refine_factor) — FIFO order is preserved across runs.
     size_t j = i + 1;
     while (j < n && !batch[j]->deadline.expired(collected) &&
            SameExecOptions(batch[j]->options, r0->options)) {

@@ -12,14 +12,13 @@
 // land in preallocated arrays, and the searcher scratch reuses capacity
 // across batches.
 //
-// Execution takes one of two shapes. On a flat backend the dispatcher
-// drives a cooperative shared scan (EmbeddingSearcher::StreamScan): the
-// corpus is scored one tile at a time, completed riders are harvested and
-// new arrivals board between tiles — so at low offered rates a query never
-// waits out a full in-flight corpus pass (the "don't tax the idle case"
-// half of the BENCH_serve acceptance bar), while at load every rider on a
-// tile shares its corpus stream exactly like the batched scorer. Other
-// backends execute collected batches whole through SearchBatchInto.
+// Execution has one shape for every backend: ExecuteBatch splits the
+// collected batch into maximal runs of requests with the same search
+// options and runs each through EmbeddingSearcher::SearchBatchInto —
+// batch encode (on the encode pool when configured), then one
+// VectorIndex::SearchBatchInto over a single pinned snapshot. On the flat
+// backend that call streams the corpus once per run instead of once per
+// query.
 #ifndef DEEPJOIN_SERVE_QUERY_SERVICE_H_
 #define DEEPJOIN_SERVE_QUERY_SERVICE_H_
 
@@ -89,16 +88,6 @@ class QueryService {
  private:
   void DispatcherLoop();
   void ExecuteBatch(Request** batch, size_t n);
-  /// Streaming execution (flat backend): boards `batch`, then loops
-  /// Step -> harvest completions -> board new arrivals until the scan
-  /// drains. Returns when empty (or when the session goes stale and has
-  /// drained — the caller reopens against the fresh snapshot).
-  void RunStreamScan(core::EmbeddingSearcher::StreamScan* scan,
-                     Request** batch, size_t n);
-  /// Boards up to `n` requests onto the scan (deadline-gated: expired
-  /// requests complete without touching encode). Returns boarded count.
-  size_t BoardGroup(core::EmbeddingSearcher::StreamScan* scan,
-                    Request** batch, size_t n);
   /// Sets status/metrics and fires `done`. `code` selects the SLO bucket.
   void Complete(Request* r, Status status);
 
@@ -118,14 +107,6 @@ class QueryService {
   std::vector<const lake::Column*> query_ptrs_;
   std::vector<core::EmbeddingSearcher::SearchResult*> out_ptrs_;
   core::EmbeddingSearcher::BatchScratch scratch_;
-  // Streaming-path state: rider slot -> its request and boarding time
-  // (slots are bounded by max_batch — boarding stops at capacity).
-  struct RiderMeta {
-    Request* req = nullptr;
-    std::chrono::steady_clock::time_point boarded{};
-  };
-  std::vector<RiderMeta> rider_meta_;
-  std::vector<size_t> done_;  ///< completed-rider scratch
 };
 
 }  // namespace serve

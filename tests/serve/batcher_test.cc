@@ -189,90 +189,8 @@ TEST_F(ServeBatcherTest, DispatchPathIsAllocationFree) {
     alloc_guard::ScopedAllocBan ban("serve dispatch steady state");
     for (auto& r : reqs) ASSERT_TRUE(b.Submit(&r).ok());
     ASSERT_EQ(b.CollectBatch(batch, 8, expired, 8, &num_expired), 8u);
-    size_t try_expired = 0;
-    // TryCollect shares the pointer-surgery-only contract.
-    for (auto& r : reqs) ASSERT_TRUE(b.Submit(&r).ok());
-    ASSERT_EQ(b.TryCollect(batch, 8, expired, 8, &try_expired), 8u);
   }
   EXPECT_EQ(tally.allocations(), 0u);
-}
-
-// TryCollect is the streaming dispatcher's boarding call: whatever is
-// queued comes back immediately — no flush-window wait (the scan it
-// boards onto is already running).
-TEST_F(ServeBatcherTest, TryCollectTakesImmediatelyWithoutWaiting) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_wait_ms = 10000;  // a blocking collect would sit here
-  cfg.idle_poll_ms = 10000;
-  Batcher b(cfg);
-  std::vector<Request> reqs(3, MakeRequest());
-  for (auto& r : reqs) ASSERT_TRUE(b.Submit(&r).ok());
-  batch_.assign(64, nullptr);
-  expired_.assign(64, nullptr);
-  size_t num_expired = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  const size_t n = b.TryCollect(batch_.data(), batch_.size(),
-                                expired_.data(), expired_.size(),
-                                &num_expired);
-  const double waited_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_LT(waited_ms, 1000.0);  // no 10s flush window
-  ASSERT_EQ(n, 3u);
-  EXPECT_EQ(num_expired, 0u);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(batch_[i], &reqs[i]);  // FIFO
-  EXPECT_EQ(b.depth(), 0u);
-}
-
-TEST_F(ServeBatcherTest, TryCollectEmptyQueueReturnsZeroImmediately) {
-  Batcher b(BatcherConfig{});
-  batch_.assign(4, nullptr);
-  expired_.assign(4, nullptr);
-  size_t num_expired = 7;
-  EXPECT_EQ(b.TryCollect(batch_.data(), batch_.size(), expired_.data(),
-                         expired_.size(), &num_expired),
-            0u);
-  EXPECT_EQ(num_expired, 0u);
-}
-
-TEST_F(ServeBatcherTest, TryCollectSweepsQueuedExpirations) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  Batcher b(cfg);
-  Request expires = MakeRequest();
-  expires.deadline = Deadline::AfterMillis(2);
-  Request keeps = MakeRequest();
-  ASSERT_TRUE(b.Submit(&expires).ok());
-  ASSERT_TRUE(b.Submit(&keeps).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  batch_.assign(8, nullptr);
-  expired_.assign(8, nullptr);
-  size_t num_expired = 0;
-  const size_t n = b.TryCollect(batch_.data(), batch_.size(),
-                                expired_.data(), expired_.size(),
-                                &num_expired);
-  ASSERT_EQ(num_expired, 1u);
-  EXPECT_EQ(expired_[0], &expires);
-  ASSERT_EQ(n, 1u);
-  EXPECT_EQ(batch_[0], &keeps);
-}
-
-TEST_F(ServeBatcherTest, TryCollectRespectsBatchCap) {
-  BatcherConfig cfg;
-  cfg.max_batch = 8;
-  Batcher b(cfg);
-  std::vector<Request> reqs(5, MakeRequest());
-  for (auto& r : reqs) ASSERT_TRUE(b.Submit(&r).ok());
-  batch_.assign(8, nullptr);
-  expired_.assign(8, nullptr);
-  size_t num_expired = 0;
-  // The cap models the scan's free capacity (max_batch - active riders).
-  EXPECT_EQ(b.TryCollect(batch_.data(), 2, expired_.data(), expired_.size(),
-                         &num_expired),
-            2u);
-  EXPECT_EQ(b.depth(), 3u);
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,8 +43,48 @@ class ServeQueryServiceTest : public ::testing::Test {
     ASSERT_TRUE(searcher_->BuildIndex(repo_).ok());
   }
 
+  void TearDown() override {
+    if (!index_path_.empty()) std::remove(index_path_.c_str());
+  }
+
+  /// A flat searcher over the fixture index saved as SQ8 with a float
+  /// refinement store and loaded back, so refine_factor changes results.
+  std::unique_ptr<core::EmbeddingSearcher> LoadQuantizedFlat() {
+    // Per-test filename: ctest runs each case as its own process.
+    index_path_ =
+        std::string(::testing::TempDir()) + "/serve_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".djx";
+    ann::SaveOptions save;
+    save.storage = ann::StorageKind::kSq8;
+    save.keep_float_refine = true;
+    EXPECT_TRUE(searcher_->SaveIndex(index_path_, nullptr, save).ok());
+    core::SearcherConfig sc;
+    sc.backend = core::AnnBackend::kFlat;
+    auto quantized =
+        std::make_unique<core::EmbeddingSearcher>(encoder_.get(), sc);
+    EXPECT_TRUE(quantized->LoadIndex(index_path_).ok());
+    return quantized;
+  }
+
+  /// The first query whose direct top-k differs between refine_factor 0
+  /// and 4 on `searcher`; fails the test if there is none (a refine
+  /// assertion would then be vacuous).
+  size_t RefineSensitiveQuery(core::EmbeddingSearcher* searcher, size_t k) {
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      const auto raw = searcher->Search(
+          queries_[q], {.k = k, .refine_factor = 0, .collect_stats = false});
+      const auto refined = searcher->Search(
+          queries_[q], {.k = k, .refine_factor = 4, .collect_stats = false});
+      if (raw.ids != refined.ids) return q;
+    }
+    ADD_FAILURE() << "refine_factor changes no query's top-" << k;
+    return 0;
+  }
+
   lake::Repository repo_;
   std::vector<lake::Column> queries_;
+  std::string index_path_;
   std::unique_ptr<FastTextEmbedder> embedder_;
   std::unique_ptr<core::FastTextColumnEncoder> encoder_;
   std::unique_ptr<core::EmbeddingSearcher> searcher_;
@@ -88,16 +130,28 @@ TEST_F(ServeQueryServiceTest, AsyncBatchCompletesEveryRequest) {
   }
 }
 
+// One collected batch mixing k and refine_factor: the dispatcher splits it
+// into runs of identical options, so every request is served with its own
+// options. Neighbouring requests that differ only in refine_factor must not
+// share a run. Runs on an SQ8 index with a float refinement store, where
+// refine_factor changes results.
 TEST_F(ServeQueryServiceTest, MixedOptionsSplitIntoCompatibleRuns) {
+  auto quantized = LoadQuantizedFlat();
+  const size_t q = RefineSensitiveQuery(quantized.get(), 10);
   QueryServiceConfig cfg;
   cfg.batcher.max_batch = 8;
-  QueryService service(searcher_.get(), cfg);
+  QueryService service(quantized.get(), cfg);
   // Submit-before-Start so the mixed batch is collected as one flush.
-  std::vector<Request> reqs(6);
+  const std::vector<core::SearchOptions> options = {
+      {.k = 10, .refine_factor = 0}, {.k = 10, .refine_factor = 4},
+      {.k = 10, .refine_factor = 4}, {.k = 10, .refine_factor = 0},
+      {.k = 3, .refine_factor = 0},  {.k = 7, .refine_factor = 4},
+  };
+  std::vector<Request> reqs(options.size());
   std::atomic<int> completions{0};
   for (size_t i = 0; i < reqs.size(); ++i) {
-    reqs[i].query = &queries_[i % queries_.size()];
-    reqs[i].options = {.k = (i % 2 == 0) ? size_t{3} : size_t{7}};
+    reqs[i].query = &queries_[q];
+    reqs[i].options = options[i];
     reqs[i].ctx = &completions;
     reqs[i].done = [](Request* r) {
       static_cast<std::atomic<int>*>(r->ctx)->fetch_add(1);
@@ -106,11 +160,37 @@ TEST_F(ServeQueryServiceTest, MixedOptionsSplitIntoCompatibleRuns) {
   }
   service.Start();
   service.Stop();
-  EXPECT_EQ(completions.load(), 6);
+  EXPECT_EQ(completions.load(), static_cast<int>(reqs.size()));
   for (size_t i = 0; i < reqs.size(); ++i) {
     ASSERT_TRUE(reqs[i].status.ok());
-    EXPECT_EQ(reqs[i].result.ids.size(), reqs[i].options.k);
+    core::SearchOptions direct = options[i];
+    direct.collect_stats = false;
+    EXPECT_EQ(reqs[i].result.ids, quantized->Search(queries_[q], direct).ids)
+        << "request " << i << " (k " << options[i].k << ", refine_factor "
+        << options[i].refine_factor << ")";
   }
+}
+
+// Served flat queries honour every search option, not only k: on an SQ8
+// index with a float refinement store, a served query equals the direct
+// Search with the same refine_factor.
+TEST_F(ServeQueryServiceTest, ServedSq8RefineMatchesDirectSearch) {
+  auto quantized = LoadQuantizedFlat();
+  (void)RefineSensitiveQuery(quantized.get(), 10);
+  QueryService service(quantized.get(), QueryServiceConfig{});
+  service.Start();
+  for (const int refine_factor : {0, 4}) {
+    for (const auto& query : queries_) {
+      const core::SearchOptions opts{.k = 10, .refine_factor = refine_factor,
+                                     .collect_stats = false};
+      core::EmbeddingSearcher::SearchResult served;
+      ASSERT_TRUE(
+          service.Query(query, opts, Deadline::Infinite(), &served).ok());
+      EXPECT_EQ(served.ids, quantized->Search(query, opts).ids)
+          << "refine_factor " << refine_factor;
+    }
+  }
+  service.Stop();
 }
 
 // The acceptance-criteria test: a request whose deadline expires in the
@@ -205,43 +285,6 @@ TEST_F(ServeQueryServiceTest, SloCountersBalance) {
   EXPECT_EQ(CounterValue("dj_serve_admitted_total") - admitted0, 12u);
   EXPECT_EQ(CounterValue("dj_serve_completed_total") - completed0, 12u);
   EXPECT_GE(CounterValue("dj_serve_batches_total") - batches0, 1u);
-}
-
-// The searcher-level streaming session behind the dispatcher's flat-path
-// execution: encodes on Board, maps index ids to repository column ids on
-// Harvest, and reports staleness once the searcher publishes a new
-// snapshot (the dispatcher's cue to drain and reopen).
-TEST_F(ServeQueryServiceTest, StreamScanSessionMatchesSearchAndGoesStale) {
-  auto scan = searcher_->NewStreamScan();
-  ASSERT_TRUE(scan.valid());
-  EXPECT_FALSE(scan.stale());
-  const size_t slot = scan.Board(queries_[0], 10);
-  std::vector<size_t> done;
-  while (scan.Step(&done) == 0) {
-    ASSERT_FALSE(scan.empty());
-  }
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0], slot);
-  core::EmbeddingSearcher::SearchResult out;
-  scan.Harvest(slot, &out);
-  const auto direct =
-      searcher_->Search(queries_[0], {.k = 10, .collect_stats = false});
-  EXPECT_EQ(out.ids, direct.ids);
-  EXPECT_TRUE(scan.empty());
-  // A republished snapshot (rebuild) makes the pinned session stale.
-  ASSERT_TRUE(searcher_->BuildIndex(repo_).ok());
-  EXPECT_TRUE(scan.stale());
-}
-
-TEST_F(ServeQueryServiceTest, StreamScanInvalidOffFlatBackend) {
-  core::SearcherConfig sc;
-  sc.backend = core::AnnBackend::kHnsw;
-  core::EmbeddingSearcher hnsw(encoder_.get(), sc);
-  // No index yet: invalid rather than aborting.
-  EXPECT_FALSE(hnsw.NewStreamScan().valid());
-  ASSERT_TRUE(hnsw.BuildIndex(repo_).ok());
-  // HNSW has no shared scan — the dispatcher falls back to ExecuteBatch.
-  EXPECT_FALSE(hnsw.NewStreamScan().valid());
 }
 
 }  // namespace

@@ -108,10 +108,10 @@ TEST_F(ServeStressTest, BlockingClientsRaceLiveMutator) {
   EXPECT_GT(ok.load(), 0);
 }
 
-// Flat-backend racing: the streaming dispatcher's shared scan pins a
-// snapshot while a mutator republishes new ones (BuildIndex → RCU swap),
-// so the session's stale-drain-reopen edge runs under TSan. In-place
-// flat mutation is out of contract; whole-snapshot replacement is not.
+// Flat-backend racing: each executed run pins a snapshot while a mutator
+// republishes new ones (BuildIndex → RCU swap), so batches straddling a
+// swap run under TSan. In-place flat mutation is out of contract;
+// whole-snapshot replacement is not.
 TEST_F(ServeStressTest, BlockingClientsRaceSnapshotRebuilds) {
   core::SearcherConfig sc;
   sc.backend = core::AnnBackend::kFlat;

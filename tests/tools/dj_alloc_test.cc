@@ -77,6 +77,24 @@ TEST(DjAllocTest, TransitiveCrossTuChainReportsWitness) {
       << run.output;
 }
 
+TEST(DjAllocTest, AttributedClassMembersKeyByTheirClass) {
+  // `class [[nodiscard]] DJ_CAPABILITY("status") alignas(8) Status` and
+  // `struct alignas(16) Builder` both define a member Make: everything
+  // between the class-key and the name is skipped, so Status::Make()
+  // resolves to its own allocating body instead of being dropped as an
+  // ambiguous name.
+  const ToolRun run = RunAlloc("--root " + Fixture("attributed"));
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  EXPECT_NE(run.output.find("src/attributed.cc:23: error: [noalloc]"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find(
+                "DJ_NOALLOC function 'fixture::Check' may allocate: "
+                "Status::Make() -> new (src/attributed.cc:11)"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(DjAllocTest, SuppressionsSilenceEventAndEdge) {
   // Same-line allow() on a growth event and line-above allow() on a call
   // edge: both forms make the fixture clean.

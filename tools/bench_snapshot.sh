@@ -66,10 +66,10 @@ echo "bench_snapshot: wrote $CHURN_OUT"
 # BENCH_serve.json (DESIGN.md §13): offered-rate sweep against the
 # QueryService on a flat-backend corpus sized past cache, where
 # single-query scans are memory-bound and batched scans stay
-# compute-bound. The derived figures are the serving-layer acceptance
-# bar: saturation_speedup >= 3 (batched goodput over single-query
-# throughput) and low_rate_p99_ratio <= 2 (batching latency tax at low
-# load). Override the corpus with DJ_LOADGEN_ARGS for quick smokes.
+# compute-bound. The serving-layer acceptance bar is saturation_speedup
+# >= 3 (batched goodput over single-query throughput); low_rate_p99_ratio
+# (batching latency tax at low load) is recorded without a bar. Override
+# the corpus with DJ_LOADGEN_ARGS for quick smokes.
 SERVE_BIN="$BUILD/tools/dj_loadgen"
 if [[ ! -x "$SERVE_BIN" ]]; then
   echo "bench_snapshot: $SERVE_BIN not built (cmake --build $BUILD --target dj_loadgen)" >&2

@@ -175,9 +175,9 @@ print('dj_stats: dj_alloc_count=%d dj_alloc_bytes=%d' \
   echo "=== [serve] TSan serve stress + batcher races ==="
   (cd "$ROOT/build-tsan" && ctest --output-on-failure --no-tests=error \
     -j "$JOBS" -R "Serve")
-  echo "=== [serve] ASan+UBSan deadline short-circuit + backpressure + shared scan ==="
+  echo "=== [serve] ASan+UBSan deadline short-circuit + backpressure + flat batch scorer ==="
   (cd "$ROOT/build-asan" && ctest --output-on-failure --no-tests=error \
-    -j "$JOBS" -R "ServeDeadline|ServeBackpressure|ServeBatcher|FlatSharedScan")
+    -j "$JOBS" -R "ServeDeadline|ServeBackpressure|ServeBatcher|FlatIndexBatch")
 
   # Optional clang-tidy leg over the checked-in .clang-tidy profile; the
   # plain build exported compile_commands.json.

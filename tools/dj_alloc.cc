@@ -90,6 +90,43 @@ const std::set<std::string>& GrowthCalls() {
   return kSet;
 }
 
+/// Index just past the bracket group opened at head[i] (`open`), or
+/// head.size() if it never closes.
+size_t SkipBalanced(const std::vector<Tok>& head, size_t i,
+                    const std::string& open, const std::string& close) {
+  int depth = 0;
+  for (; i < head.size(); ++i) {
+    if (head[i].text == open) {
+      ++depth;
+    } else if (head[i].text == close && --depth == 0) {
+      return i + 1;
+    }
+  }
+  return i;
+}
+
+/// Index of the class name in a class head whose class-key sits just
+/// before head[i]: skips the attributes that may come first (`[[...]]`,
+/// `alignas(...)`, and the project's annotation macros such as
+/// `DJ_CAPABILITY("mutex")`).
+size_t SkipClassAttributes(const std::vector<Tok>& head, size_t i) {
+  while (i < head.size()) {
+    if (head[i].text == "[" && i + 1 < head.size() &&
+        head[i + 1].text == "[") {
+      i = SkipBalanced(head, i, "[", "]");
+    } else if (head[i].kind == Tok::kIdent &&
+               (head[i].text == "alignas" || IsAnnotationMacro(head[i].text))) {
+      ++i;
+      if (i < head.size() && head[i].text == "(") {
+        i = SkipBalanced(head, i, "(", ")");
+      }
+    } else {
+      break;
+    }
+  }
+  return i;
+}
+
 struct CallSite {
   std::string callee;     // unqualified name as written
   std::string qualifier;  // explicit `X::` at the call site ("" if none)
@@ -179,8 +216,8 @@ class Analyzer {
       if (funcs_.count(qualified) != 0) return qualified;
       // A free function defined outside any named namespace.
       if (funcs_.count(c.callee) != 0) return c.callee;
-      // A qualifier the lexer could not key by (e.g. a class declared
-      // `class [[nodiscard]] Status`): fall back to a unique name.
+      // A qualifier that keys nothing (a namespace, or a class the tree
+      // never defines a member of): fall back to a unique name.
       auto it = by_name.find(c.callee);
       if (it != by_name.end() && it->second.size() == 1) return it->second[0];
       return "";
@@ -306,8 +343,9 @@ class Analyzer {
           if (head[h].text == "class" || head[h].text == "struct" ||
               head[h].text == "union") {
             has_class = true;
-            if (head[h + 1].kind == Tok::kIdent) {
-              class_kw_name = head[h + 1].text;
+            const size_t name = SkipClassAttributes(head, h + 1);
+            if (name < head.size() && head[name].kind == Tok::kIdent) {
+              class_kw_name = head[name].text;
             }
           }
           if (head[h].text == "namespace") {

@@ -17,7 +17,8 @@
 //                         (the batched-scan amortisation; >= 3x on a
 //                         corpus larger than cache),
 //   low_rate_p99_ratio  = p99 at the lowest offered rate / single-query
-//                         latency (the batching latency tax; <= 2x).
+//                         latency (the batching latency tax; reported,
+//                         no acceptance bar).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
